@@ -68,8 +68,8 @@ go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/expe
 
 # Multi-rail smoke test under the race detector: the rail-graph family's
 # rendered bytes identical at parallel 1 and 8, and the multi-rail core
-# (sequential RunBatch fallback, per-rail sensing, DVS composition) clean
-# under race.
+# (per-rail sensing, coupled streaming vs open-loop bit-identity, DVS
+# composition) clean under race.
 go test -race -count=1 -run 'TestRailsFamilyParallelDeterminism|TestMultiRail' \
     ./internal/experiments ./internal/core
 
@@ -82,13 +82,13 @@ go test -race -count=1 \
     -run 'TestServerStore|TestServerSweepStoreRoundTrip|TestServerBatch|TestStore|TestEntry' \
     ./internal/server ./internal/store
 
-# Allocation gate: the per-cycle simulation kernels (streaming PDN step,
-# batched SoA step, FFT block convolution) must stay allocation-free —
-# one allocation per cycle is the difference between the profiled ~50
-# ns/cycle and multiples of it. The benchmarks run under -benchmem and
-# any "N allocs/op" with N > 0 fails.
-go test -run NONE -bench 'BenchmarkStep$|BenchmarkBatchStep$|BenchmarkConvolve$|BenchmarkGraphStep$' \
-    -benchtime 100x -benchmem ./internal/pdn ./internal/fft | tee /tmp/didt_allocgate.txt
+# Allocation gate: the PDN voltage kernel (the streaming recurrence step,
+# the whole-trace convolution and the coupled rail-graph step) must stay
+# allocation-free — at a few ns per cycle, one allocation per cycle
+# would cost more than the kernel itself. The benchmarks run under
+# -benchmem and any "N allocs/op" with N > 0 fails.
+go test -run NONE -bench 'BenchmarkStep$|BenchmarkConvolve$|BenchmarkGraphStep$' \
+    -benchtime 100x -benchmem ./internal/pdn | tee /tmp/didt_allocgate.txt
 ! grep -E ' [1-9][0-9]* allocs/op' /tmp/didt_allocgate.txt
 
 # Perf gate: the telemetry-off hot path (a disabled cycle tracer attached

@@ -55,9 +55,8 @@ var sweepIDs = []string{"table2", "fig14", "stressmark-actuation", "ablation-win
 
 // railsSweepIDs is the multi-rail cold sweep: per-rail emergency counts
 // across the benchmark set plus the per-rail threshold solve. It exercises
-// the rail-graph step path (sequential, never the lockstep batch), so its
-// timing tracks the multi-rail family's cost independently of the
-// single-rail sweeps above. Reported, not gated: the family is new and its
+// the rail-graph step path, so its timing tracks the multi-rail family's
+// cost independently of the single-rail sweeps above. Reported, not gated: the family is new and its
 // cost has no baseline contract yet.
 var railsSweepIDs = []string{"rails-emergencies", "rails-thresholds"}
 

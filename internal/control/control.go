@@ -370,40 +370,35 @@ func (s *Solver) runScenario(sc scenario, lo, hi float64, env Envelope, delay in
 	return res
 }
 
-// probe owns the reusable lockstep machinery for one solve: a 4-lane batch
-// convolver (one lane per worst-case scenario) plus a controller replica
-// per lane, reset between evaluations instead of reallocated — a solve
-// evaluates it dozens of times.
+// probe owns the reusable lockstep machinery for one solve: a streaming
+// simulator plus a controller replica per worst-case scenario, reset
+// between evaluations instead of reallocated — a solve evaluates it dozens
+// of times.
 type probe struct {
-	net      *pdn.Network
-	env      Envelope
-	period   int
-	cycles   int
-	vNom     float64
-	vLow     float64 // vMin - solveEps
-	vHigh    float64 // vMax + solveEps
-	batch    *pdn.BatchSimulator
-	ctls     []scenarioCtl
-	currents []float64
-	volts    []float64
+	env    Envelope
+	period int
+	cycles int
+	vNom   float64
+	vLow   float64 // vMin - solveEps
+	vHigh  float64 // vMax + solveEps
+	sims   []*pdn.Simulator
+	ctls   []scenarioCtl
 }
 
 func (s *Solver) newProbe(env Envelope, delay int) *probe {
 	period := s.net.ResonantPeriodCycles()
 	p := &probe{
-		net:      s.net,
-		env:      env,
-		period:   period,
-		cycles:   s.net.KernelLen() + 14*period,
-		vNom:     s.net.Params().VNominal,
-		vLow:     s.net.VMin() - solveEps,
-		vHigh:    s.net.VMax() + solveEps,
-		batch:    s.net.NewBatchSimulator(len(scenarios)),
-		ctls:     make([]scenarioCtl, len(scenarios)),
-		currents: make([]float64, len(scenarios)),
-		volts:    make([]float64, len(scenarios)),
+		env:    env,
+		period: period,
+		cycles: s.net.KernelLen() + 14*period,
+		vNom:   s.net.Params().VNominal,
+		vLow:   s.net.VMin() - solveEps,
+		vHigh:  s.net.VMax() + solveEps,
+		sims:   make([]*pdn.Simulator, len(scenarios)),
+		ctls:   make([]scenarioCtl, len(scenarios)),
 	}
 	for l := range p.ctls {
+		p.sims[l] = s.net.NewSimulator()
 		p.ctls[l] = newScenarioCtl(p.vNom, env, delay)
 	}
 	return p
@@ -417,29 +412,26 @@ func (s *Solver) newProbe(env Envelope, delay int) *probe {
 // to true. A needed verdict can only resolve false by surviving the whole
 // horizon, so early exit never changes an answer; a verdict the caller did
 // not ask for may be reported false even when a longer run would have
-// tripped it. Per-lane voltages are bit-identical to the solo simulator's
-// (the batch kernel preserves per-lane accumulation order), which is what
-// keeps solved thresholds identical to the sequential implementation.
+// tripped it. Each scenario steps its own simulator exactly as runScenario
+// does, which is what keeps solved thresholds identical to the sequential
+// implementation.
 func (p *probe) violations(lo, hi float64, needLow, needHigh bool) (lowBad, highBad bool) {
-	p.batch.Reset()
 	for l := range p.ctls {
+		p.sims[l].Reset()
 		p.ctls[l].reset(p.vNom, p.env)
 	}
 	for c := 0; c < p.cycles; c++ {
 		for l := range p.ctls {
+			ctl := &p.ctls[l]
 			demand := scenarioDemand(scenarios[l], c, p.cycles, p.period, p.env)
-			p.currents[l] = p.ctls[l].decide(lo, hi, demand, p.env)
-		}
-		p.batch.Step(p.currents, p.volts)
-		for l := range p.ctls {
-			v := p.volts[l]
+			v := p.sims[l].Step(ctl.decide(lo, hi, demand, p.env))
 			if v < p.vLow {
 				lowBad = true
 			}
 			if v > p.vHigh {
 				highBad = true
 			}
-			p.ctls[l].observe(v)
+			ctl.observe(v)
 		}
 		if (lowBad || !needLow) && (highBad || !needHigh) {
 			return lowBad, highBad

@@ -300,23 +300,15 @@ func NewSystem(prog isa.Program, opts Options) (*System, error) {
 // when control is disabled.
 func (s *System) Thresholds() control.Thresholds { return s.thresholds }
 
-// Close releases pooled resources (the PDN simulator's ring buffer) back
-// for reuse by other runs against the same network. The system must not be
-// stepped afterwards; Close is optional but sweeps that build hundreds of
-// systems should call it.
+// Close releases the PDN simulators. The system must not be stepped
+// afterwards; Close is optional.
 func (s *System) Close() {
 	if s.gsim != nil {
-		// Releases every rail's simulator, including the one aliased by
-		// s.Sim (Release is idempotent).
-		s.gsim.Release()
-		s.gsim = nil
-		s.Sim = nil
-		return
-	}
-	if s.Sim != nil {
+		s.gsim.Release() // includes rail 0, which s.Sim aliases
+	} else if s.Sim != nil {
 		s.Sim.Release()
-		s.Sim = nil
 	}
+	s.gsim, s.Sim = nil, nil
 }
 
 // Envelope returns the calibration current envelope.
@@ -351,10 +343,8 @@ func (s *System) StepCycle() CycleState {
 
 // machineStep advances the machine half of the loop — actuator gating into
 // the core, core activity into the power model — and returns the cycle's
-// activity, load current and completion flag. The PDN convolution and
-// everything downstream of the voltage live in observe; RunBatch steps
-// many systems' machine halves against one batched convolver between the
-// two.
+// activity, load current and completion flag. Everything downstream of
+// the voltage lives in observe.
 //
 //didt:hotpath
 func (s *System) machineStep(act *cpu.Activity) (float64, bool) {
@@ -494,12 +484,11 @@ func boolArg(b bool) int32 {
 //
 // Open-loop runs — no controller, no pessimistic ramp, no responder, no
 // enabled telemetry stream — have a machine whose evolution cannot depend
-// on the voltage, so Run computes the whole current trace first and block-
-// convolves it through the PDN's FFT path instead of paying a kernel-length
-// multiply-add per cycle. The FFT agrees with the streaming convolver to
-// <= 1e-9 V (see internal/pdn's property tests); anything that feeds the
-// voltage back (control, ramp, telemetry) stays on the streaming reference
-// path.
+// on the voltage, so Run computes the whole current trace first (reusing
+// a cached trace when the program is keyed) and convolves it in one pass
+// with Network.ConvolveVoltages. That pass runs the same recurrence as the
+// streaming Simulator, so its voltages are bit-identical; anything that
+// feeds the voltage back (control, ramp, telemetry) steps cycle by cycle.
 func (s *System) Run() (*Result, error) {
 	if s.openLoop() {
 		if s.rails != nil {
@@ -532,8 +521,8 @@ func (s *System) openLoop() bool {
 }
 
 // finish aggregates the run's statistics into a Result and publishes the
-// whole-run metrics. Every completion path — streaming, open-loop, batched
-// — funnels through here.
+// whole-run metrics. Every completion path — streaming and open-loop, one
+// rail or many — funnels through here.
 func (s *System) finish(st cpu.Stats, energy float64) *Result {
 	measured := uint64(0)
 	if s.cycle > s.spec.Budget.WarmupCycles {

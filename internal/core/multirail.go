@@ -383,20 +383,19 @@ func (s *System) observeMulti(act *cpu.Activity, total float64, done bool) Cycle
 }
 
 // runOpenLoopMulti is the open-loop fast path on the rail graph: step the
-// machine once recording per-rail current traces, block-convolve every
-// rail (coupling included) through Graph.ConvolveVoltages, then replay the
+// machine once recording per-rail current traces, convolve every rail
+// (coupling included) through Graph.ConvolveVoltages, then replay the
 // statistics in cycle order. The machine-trace cache does not apply — its
-// entries are single-current traces — but the per-rail block convolution
-// still beats kernel-length multiply-adds per cycle per rail.
+// entries are single-current traces.
 func (s *System) runOpenLoopMulti() (*Result, error) {
 	n := len(s.rails)
 	traces := make([][]float64, n)
 	for i := range traces {
-		traces[i] = make([]float64, 0, s.spec.Budget.MaxCycles)
+		traces[i] = s.newTrace()
 	}
 	var totals []float64
 	if s.opts.RecordTraces {
-		totals = make([]float64, 0, s.spec.Budget.MaxCycles)
+		totals = s.newTrace()
 	}
 	var act cpu.Activity
 	var cycles uint64

@@ -69,11 +69,21 @@ func (s *System) machineTrace() (*machineRun, error) {
 	})
 }
 
+// traceCapHint bounds the capacity a per-cycle trace starts with.
+const traceCapHint = 1 << 12
+
+// newTrace returns an empty per-cycle trace buffer. It grows by append:
+// MaxCycles is a ceiling, not a size — a program may retire long before
+// it — so a large budget must not reserve memory the run never uses.
+func (s *System) newTrace() []float64 {
+	return make([]float64, 0, min(s.spec.Budget.MaxCycles, traceCapHint))
+}
+
 // stepMachine runs the machine half to completion with quiescent control
 // state (zero gating, zero phantom — the open-loop invariant), mirroring
 // Run's loop structure exactly: step, count, stop on completion or budget.
 func (s *System) stepMachine() (*machineRun, error) {
-	mr := &machineRun{currents: make([]float64, 0, s.spec.Budget.MaxCycles)}
+	mr := &machineRun{currents: s.newTrace()}
 	var act cpu.Activity
 	for mr.cycles < s.spec.Budget.MaxCycles {
 		current, done := s.machineStep(&act)
@@ -91,10 +101,11 @@ func (s *System) stepMachine() (*machineRun, error) {
 	return mr, nil
 }
 
-// runOpenLoop is the fast path: machine trace (possibly cached), one block
-// convolution, then a statistics replay in cycle order. The replay applies
-// the same per-cycle updates as observe does on the streaming path, so the
-// only difference in the result is FFT round-off (<= 1e-9 V).
+// runOpenLoop is the fast path: machine trace (possibly cached), one
+// whole-trace convolution, then a statistics replay in cycle order. The
+// convolution runs the streaming Simulator's recurrence and the replay
+// applies the same per-cycle updates as observe, so the result is
+// bit-identical to the streaming path.
 func (s *System) runOpenLoop() (*Result, error) {
 	mr, err := s.machineTrace()
 	if err != nil {
@@ -126,105 +137,4 @@ func (s *System) runOpenLoop() (*Result, error) {
 	}
 	s.cycle = mr.cycles
 	return s.finish(mr.stats, mr.energy), nil
-}
-
-// RunBatch advances the given systems in lockstep through one shared
-// structure-of-arrays PDN convolver and returns their results in input
-// order. All systems must target the same PDN parameters (hence the same
-// sampled kernel) and must be freshly built — RunBatch is the batched
-// equivalent of calling Run on each.
-//
-// Each lane's sequence of machine steps, voltages, sensor readings and
-// actuation decisions is bit-identical to a solo Run: the batch kernel
-// preserves per-lane accumulation order, and every lane keeps its own CPU,
-// power model, sensor RNG and policy state. A lane that finishes early
-// stops being observed; its slot is driven at IFloor (zero deviation)
-// until the whole batch drains.
-func RunBatch(systems []*System) ([]*Result, error) {
-	if len(systems) == 0 {
-		return nil, nil
-	}
-	if len(systems) == 1 {
-		r, err := systems[0].Run()
-		if err != nil {
-			return nil, err
-		}
-		return []*Result{r}, nil
-	}
-	for _, s := range systems {
-		if s.rails != nil {
-			// Multi-rail systems carry a rail graph per lane; the shared
-			// single-kernel batch convolver does not apply. Run them
-			// sequentially — same results, no lockstep speedup.
-			results := make([]*Result, len(systems))
-			for i, ms := range systems {
-				r, err := ms.Run()
-				if err != nil {
-					return nil, fmt.Errorf("core: lane %d: %w", i, err)
-				}
-				results[i] = r
-			}
-			return results, nil
-		}
-	}
-	params := systems[0].Net.Params()
-	for _, s := range systems[1:] {
-		if s.Net.Params() != params {
-			return nil, fmt.Errorf("core: RunBatch requires identical PDN params (got %+v vs %+v)", s.Net.Params(), params)
-		}
-	}
-	w := len(systems)
-	batch := systems[0].Net.NewBatchSimulator(w)
-	currents := make([]float64, w)
-	volts := make([]float64, w)
-	acts := make([]cpu.Activity, w)
-	dones := make([]bool, w)
-	finished := make([]bool, w)
-	remaining := w
-	for remaining > 0 {
-		// Once the batch is mostly drained, one fixed w-wide kernel step
-		// costs more than stepping the survivors' own streaming simulators,
-		// so hand each survivor its lane's ring state and let it finish on
-		// the per-run path (bit-identical — see ExtractLane).
-		if 2*remaining <= w {
-			break
-		}
-		for l, s := range systems {
-			if finished[l] {
-				currents[l] = params.IFloor
-				continue
-			}
-			currents[l], dones[l] = s.machineStep(&acts[l])
-		}
-		batch.Step(currents, volts)
-		for l, s := range systems {
-			if finished[l] {
-				continue
-			}
-			st := s.observe(&acts[l], currents[l], volts[l], dones[l])
-			if st.Done || s.cycle >= s.spec.Budget.MaxCycles {
-				finished[l] = true
-				remaining--
-			}
-		}
-	}
-	for l, s := range systems {
-		if finished[l] {
-			continue
-		}
-		batch.ExtractLane(l, s.Sim)
-		for s.cycle < s.spec.Budget.MaxCycles {
-			if st := s.StepCycle(); st.Done {
-				break
-			}
-		}
-	}
-	results := make([]*Result, w)
-	for l, s := range systems {
-		if err := s.CPU.Err(); err != nil {
-			return nil, fmt.Errorf("core: lane %d: %w", l, err)
-		}
-		results[l] = s.finish(s.CPU.Stats(), s.Power.TotalEnergy())
-	}
-	return results, nil
 }

@@ -1,17 +1,17 @@
 package core
 
 import (
-	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"didt/internal/telemetry"
 )
 
 // TestOpenLoopMatchesStreaming pins the fast-path contract: an
-// uncontrolled run through the block-convolution path must match the
+// uncontrolled run through the whole-trace convolution must match the
 // same run forced onto the per-cycle streaming path (via an enabled
-// tracer, which never changes results) exactly on machine state and to
-// FFT round-off on voltage statistics.
+// tracer, which never changes results) exactly, voltages included.
 func TestOpenLoopMatchesStreaming(t *testing.T) {
 	k := knobs{ImpedancePct: 2, MaxCycles: 60000, WarmupCycles: 10000}
 
@@ -49,16 +49,15 @@ func TestOpenLoopMatchesStreaming(t *testing.T) {
 	if fast.Energy != slow.Energy {
 		t.Fatalf("energy diverged: %g vs %g", fast.Energy, slow.Energy)
 	}
-	const tol = 1e-9
-	if math.Abs(fast.MinV-slow.MinV) > tol || math.Abs(fast.MaxV-slow.MaxV) > tol {
+	if fast.MinV != slow.MinV || fast.MaxV != slow.MaxV {
 		t.Fatalf("voltage extremes diverged: [%g,%g] vs [%g,%g]",
 			fast.MinV, fast.MaxV, slow.MinV, slow.MaxV)
 	}
 	if fast.Emergencies != slow.Emergencies {
 		t.Fatalf("emergencies diverged: %d vs %d", fast.Emergencies, slow.Emergencies)
 	}
-	if fast.Hist.Total() != slow.Hist.Total() {
-		t.Fatalf("histogram totals diverged: %d vs %d", fast.Hist.Total(), slow.Hist.Total())
+	if !reflect.DeepEqual(fast.Hist, slow.Hist) {
+		t.Fatalf("voltage histograms diverged: %+v vs %+v", fast.Hist, slow.Hist)
 	}
 }
 
@@ -98,56 +97,35 @@ func TestOpenLoopTraceCacheReuse(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesSoloRun pins the batch kernel's bit-identity
-// contract end to end: eight closed-loop systems advanced in lockstep
-// must produce exactly the Results of eight solo Runs — including mixed
-// programs, delays and budgets within one batch. The budgets are
-// staggered so the batch drains one lane at a time, driving the lane
-// count through the migration threshold and exercising the ExtractLane
-// handoff to the per-run path mid-ring.
-func TestRunBatchMatchesSoloRun(t *testing.T) {
-	progs := []int{300, 250, 300, 280, 300, 250, 280, 300}
-	delays := []int{0, 1, 2, 3, 0, 2, 1, 3}
-	build := func(i int) Options {
-		k := knobs{
-			ImpedancePct: 2, MaxCycles: 40000 + uint64(i)*3000, WarmupCycles: 10000,
-			Control: true, Delay: delays[i], Seed: int64(100 + i),
-		}
-		return k.options()
-	}
-
-	solo := make([]*Result, len(progs))
-	for i := range progs {
-		sys, err := NewSystem(alternator(progs[i]), build(i))
+// TestHugeBudgetShortRunBoundedMemory is the regression test for a run
+// that reserved memory for its whole cycle budget before stepping: a
+// 5e9-cycle budget (40 GB of float64 trace) on a program that retires in
+// a few thousand cycles must complete, on one rail and on three, and
+// allocate in proportion to the cycles it actually ran.
+func TestHugeBudgetShortRunBoundedMemory(t *testing.T) {
+	k := knobs{ImpedancePct: 2, MaxCycles: 5_000_000_000, WarmupCycles: 1000}
+	for name, opts := range map[string]Options{"single-rail": k.options(), "three-rail": threeRailKnobs(k)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sys, err := NewSystem(alternator(50), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sys.openLoop() {
-			t.Fatal("controlled run unexpectedly open-loop")
+		if !sys.openLoop() {
+			t.Fatalf("%s: uncontrolled run did not select the open-loop path", name)
 		}
-		if solo[i], err = sys.Run(); err != nil {
-			t.Fatal(err)
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-
-	systems := make([]*System, len(progs))
-	for i := range progs {
-		var err error
-		if systems[i], err = NewSystem(alternator(progs[i]), build(i)); err != nil {
-			t.Fatal(err)
+		sys.Close()
+		runtime.ReadMemStats(&after)
+		if res.Cycles >= k.MaxCycles {
+			t.Fatalf("%s: program did not retire before the budget (%d cycles)", name, res.Cycles)
 		}
-	}
-	batch, err := RunBatch(systems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range progs {
-		s, b := solo[i], batch[i]
-		if s.Cycles != b.Cycles || s.Stats != b.Stats ||
-			s.MinV != b.MinV || s.MaxV != b.MaxV ||
-			s.Energy != b.Energy || s.Emergencies != b.Emergencies ||
-			s.LowEvents != b.LowEvents || s.HighEvents != b.HighEvents {
-			t.Fatalf("lane %d diverged from solo run:\nsolo  %+v\nbatch %+v", i, s, b)
+		const limit = 64 << 20
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+			t.Errorf("%s: %d-cycle run allocated %d MB; want < %d MB", name, res.Cycles, grew>>20, limit>>20)
 		}
 	}
 }

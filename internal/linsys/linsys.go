@@ -237,6 +237,21 @@ func (s *SecondOrder) SampleImpulse(dt, relTol float64, maxLen int) []float64 {
 	return out
 }
 
+// DiscretePoles returns the coefficients of the sampled pole pair
+// r·e^{±jθ}, with r = e^{-alpha*dt} and θ = wd*dt:
+//
+//	a1 = 2r·cos θ,  a2 = r².
+//
+// For t > 0 the step response is a constant plus e^{-alpha t} times a
+// sinusoid at wd, and its formula gives Step(0) = 0 as well, so
+// Step(k*dt) = K + r^k (c·cos kθ + d·sin kθ) for every k >= 0. The taps of
+// SampleImpulse are differences of consecutive samples and keep that
+// shape, which makes them satisfy h[k] = a1·h[k-1] - a2·h[k-2] for k >= 2.
+func (s *SecondOrder) DiscretePoles(dt float64) (a1, a2 float64) {
+	r := math.Exp(-s.alpha * dt)
+	return 2 * r * math.Cos(s.wd*dt), r * r
+}
+
 // StepAtSamples evaluates the step response at k*dt for k in [0, n).
 func (s *SecondOrder) StepAtSamples(dt float64, n int) []float64 {
 	out := make([]float64, n)

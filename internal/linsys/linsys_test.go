@@ -149,6 +149,25 @@ func TestSampleImpulseTruncation(t *testing.T) {
 	}
 }
 
+// TestSampledTapsObeyDiscretePoles pins the identity the PDN's O(1)
+// kernel rests on: every sampled tap from k = 2 on is a1·h[k-1] -
+// a2·h[k-2], up to round-off relative to the largest tap.
+func TestSampledTapsObeyDiscretePoles(t *testing.T) {
+	s := mustFromPeak(t)
+	dt := 1 / 3e9
+	h := s.SampleImpulse(dt, 1e-9, 0)
+	a1, a2 := s.DiscretePoles(dt)
+	peak := 0.0
+	for _, v := range h {
+		peak = math.Max(peak, math.Abs(v))
+	}
+	for k := 2; k < len(h); k++ {
+		if d := math.Abs(h[k] - (a1*h[k-1] - a2*h[k-2])); d > 1e-12*peak {
+			t.Fatalf("tap %d: h=%g, recurrence gives %g (|Δ|/peak = %g)", k, h[k], a1*h[k-1]-a2*h[k-2], d/peak)
+		}
+	}
+}
+
 func TestSampledKernelSumApproximatesR(t *testing.T) {
 	// sum h[k]*dt ~= integral h = Z(0) = R.
 	s := mustFromPeak(t)

@@ -1,18 +1,19 @@
 // Rail graph: the multi-domain generalization of Network. A Graph holds N
 // named delivery domains — each its own calibrated Network with its own
-// sampled kernel — plus a cross-coupling matrix that injects a fraction of
-// each domain's current transient into its neighbors' convolution inputs:
+// recurrence kernel — plus a cross-coupling matrix that injects a fraction
+// of each domain's current transient into its neighbors' inputs:
 //
 //	eff_i[n] = I_i[n] + sum_{j != i} K[i][j] * (I_j[n] - IFloor_j)
 //
 // so rail i's voltage is V_i[n] = Vnom_i - sum_k h_i[k]*(eff_i[n-k] -
 // IFloor_i). With every rail at its floor the injected transients vanish
 // and all rails sit at nominal, exactly like the quiescent single-rail
-// network. The single-rail Network is the 1-node graph (SingleRail), and
-// on that degenerate graph — or any graph with an all-zero matrix — the
-// step and block-convolution paths delegate straight to the underlying
-// Network, so the output is bit-identical (`==`) to using the Network
-// directly, not merely close.
+// network. Coupling only shapes each rail's input; every rail then runs its
+// own Network's recurrence. The single-rail Network is the 1-node graph
+// (SingleRail), and on that degenerate graph — or any graph with an
+// all-zero matrix — the step and whole-trace paths delegate straight to
+// the underlying Network, so the output is bit-identical (`==`) to using
+// the Network directly, not merely close.
 package pdn
 
 import "fmt"
@@ -133,8 +134,7 @@ func (g *Graph) NewSimulator() *GraphSimulator {
 }
 
 // RailSim exposes rail i's underlying streaming simulator. On an uncoupled
-// graph stepping it directly is equivalent to stepping the graph (the
-// batching engine uses rail 0 of a single-rail graph this way).
+// graph stepping it directly is equivalent to stepping the graph.
 func (s *GraphSimulator) RailSim(i int) *Simulator { return s.sims[i] }
 
 // Step advances every rail one CPU cycle: currents[i] is rail i's load
@@ -180,8 +180,8 @@ func (s *GraphSimulator) Reset() {
 	}
 }
 
-// Release returns every rail simulator's history buffer to its network's
-// pool. The graph simulator must not be used afterwards.
+// Release releases every rail simulator. The graph simulator must not be
+// used afterwards.
 func (s *GraphSimulator) Release() {
 	for _, sim := range s.sims {
 		sim.Release()
@@ -193,8 +193,9 @@ func (s *GraphSimulator) Release() {
 // must have length >= len(currents[i])). Uncoupled rails pass their trace
 // straight to Network.ConvolveVoltages — byte-identical to the single-rail
 // open-loop path — while coupled rails first materialize the effective
-// input trace. Rails may have different trace lengths only when uncoupled;
-// coupling requires equal lengths.
+// input trace, summed in the order GraphSimulator.Step sums it, so both
+// paths agree to the bit. Rails may have different trace lengths only
+// when uncoupled; coupling requires equal lengths.
 func (g *Graph) ConvolveVoltages(dst, currents [][]float64) {
 	if !g.coupled {
 		for i, r := range g.rails {

@@ -6,22 +6,51 @@
 // 0.5 mΩ, resonant frequency 50 MHz, nominal supply 1.0 V, 3 GHz CPU clock
 // (so the resonant period is 60 CPU cycles). The supply voltage is
 //
-//	V[n] = Vnom - sum_k h[k] * (I[n-k] - Ifloor)
+//	V[n] = Vnom - y[n],  y[n] = sum_{k<M} h[k] * x[n-k],  x = I - Ifloor
 //
-// where h is the sampled impulse response and Ifloor is the current level
-// at which the voltage regulator holds the supply at exactly Vnom (the
-// paper assumes the regulator nulls the drop at minimum processor power).
+// where h is the impulse response sampled and truncated to M taps by
+// linsys.SampleImpulse, and Ifloor is the current level at which the
+// voltage regulator holds the supply at exactly Vnom (the paper assumes
+// the regulator nulls the drop at minimum processor power).
+//
+// # One O(1) kernel
+//
+// Tap k is Step((k+1)dt) - Step(k dt) of the analytic step response, a
+// constant plus a damped sinusoid, so the taps obey the recurrence of the
+// sampled pole pair r·e^{±jθ} (r = e^{-α dt}, θ = ω_d dt):
+//
+//	h[k] = a1·h[k-1] - a2·h[k-2]  for k >= 2,  a1 = 2r·cos θ, a2 = r².
+//
+// Multiplying the tap polynomial H(z) = sum_{k<M} h[k] z⁻ᵏ by
+// D(z) = 1 - a1·z⁻¹ + a2·z⁻² therefore cancels every term at lags
+// 2..M-1, leaving the head of the response and the two lags where the
+// truncation cuts it off:
+//
+//	D(z)·H(z) = b0 + b1·z⁻¹ + bM·z⁻ᴹ + bM1·z⁻ᴹ⁻¹
+//	b0 = h[0]                    b1  = h[1] - a1·h[0]
+//	bM = -(a1·h[M-1] - a2·h[M-2])  bM1 = a2·h[M-1]
+//
+// So the truncated convolution is exactly the recurrence
+//
+//	y[n] = a1·y[n-1] - a2·y[n-2] + b0·x[n] + b1·x[n-1] + bM·x[n-M] + bM1·x[n-M-1]
+//
+// six multiply-adds per cycle whatever M is; the only history kept beyond
+// two outputs and one input is a ring of inputs for x[n-M] and x[n-M-1].
+// The coefficients are computed as the terms of D(z)·H(z) with the taps
+// zero outside [0, M), which also covers short kernels (max_kernel_len 1
+// or a loose trunc_rel_tol): at M = 2 the formulas above apply as
+// written, and at M = 1 lag M is lag 1, whose whole term -a1·h[0] is b1
+// (bM = 0, bM1 = a2·h[0]). The truncated FIR itself survives only as a
+// test oracle.
 //
 // Network is immutable after construction; Simulator carries the mutable
-// convolution state so that one Network can serve many concurrent runs.
+// recurrence state so that one Network can serve many concurrent runs.
 package pdn
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"didt/internal/fft"
 	"didt/internal/linsys"
 	"didt/internal/sim"
 	"didt/internal/telemetry"
@@ -87,30 +116,65 @@ func (p Params) WithDefaults() Params {
 type Network struct {
 	params Params
 	sys    *linsys.SecondOrder
-	kernel []float64 // impulse response sampled at the CPU clock, scaled by dt
-	fftk   *fft.Kernel
+	k      kernel
+}
 
-	simPool sync.Pool // recycled Simulator history buffers ([]float64)
-	fftPool sync.Pool // recycled fft.Scratch + deviation buffers (*fftWork)
+// kernel is the truncated impulse response in recurrence form: the M taps
+// h[0..M-1] of linsys.SampleImpulse, reduced to the six coefficients of
+//
+//	y[n] = a1·y[n-1] - a2·y[n-2] + b0·x[n] + b1·x[n-1] + bM·x[n-M] + bM1·x[n-M-1]
+//
+// (see the package doc for the derivation). Immutable; computed once per
+// distinct Params and shared through kernelCache.
+type kernel struct {
+	m               int     // truncation length M in taps
+	a1, a2          float64 // sampled pole pair: 2r·cos θ and r²
+	b0, b1, bM, bM1 float64 // numerator taps at lags 0, 1, M and M+1
+}
+
+// newKernel samples the impulse response and folds it into recurrence
+// coefficients. Each coefficient is the matching term of
+// (1 - a1·z⁻¹ + a2·z⁻²)·Σ h[k]·z⁻ᵏ with the taps zero outside [0, M); the
+// terms at lags 2..M-1 vanish because the taps obey the pole recurrence.
+// For M = 1, lag M is lag 1 and its whole term is already in b1.
+func newKernel(sys *linsys.SecondOrder, p Params) (kernel, error) {
+	dt := 1 / p.ClockHz
+	h := sys.SampleImpulse(dt, p.TruncRelTol, p.MaxKernelLen)
+	if len(h) == 0 {
+		return kernel{}, fmt.Errorf("pdn: empty impulse-response kernel")
+	}
+	m := len(h)
+	a1, a2 := sys.DiscretePoles(dt)
+	tap := func(i int) float64 {
+		if i < 0 || i >= m {
+			return 0
+		}
+		return h[i]
+	}
+	c := func(lag int) float64 { return tap(lag) - a1*tap(lag-1) + a2*tap(lag-2) }
+	k := kernel{m: m, a1: a1, a2: a2, b0: c(0), b1: c(1), bM1: c(m + 1)}
+	if m >= 2 {
+		k.bM = c(m)
+	}
+	return k, nil
 }
 
 // sampled pairs the derived artifacts a Network shares with every other
-// Network built from the same parameters: the analytic system, the sampled
-// impulse-response kernel, and the kernel's frozen FFT spectrum for the
-// open-loop block convolver. All are immutable after construction.
+// Network built from the same parameters: the analytic system and its
+// recurrence kernel. Both are immutable after construction.
 type sampled struct {
-	sys    *linsys.SecondOrder
-	kernel []float64
-	fftk   *fft.Kernel
+	sys *linsys.SecondOrder
+	k   kernel
 }
 
-// kernelCache memoizes kernel sampling across Networks. A sweep
+// kernelCache memoizes kernel construction across Networks. A sweep
 // recalibrates the same handful of (envelope, impedance) points hundreds
-// of times, and re-deriving and re-sampling the 4096-tap kernel each run
-// dominated Network construction. The key is the fingerprint of the
-// resolved (calibrated) Params — the same sub-hash that section
-// contributes to spec.RunSpec.Key — and sampling is a pure function of the
-// params, so cached and fresh kernels are bit-identical.
+// of times, and re-deriving the analytic system (linsys.FromPeak's
+// bisection) and re-sampling the taps each run dominated Network
+// construction. The key is the fingerprint of the resolved (calibrated)
+// Params — the same sub-hash that section contributes to
+// spec.RunSpec.Key — and construction is a pure function of the params,
+// so cached and fresh kernels are bit-identical.
 var kernelCache = sim.NewCache[string, sampled](512)
 
 func init() {
@@ -118,12 +182,12 @@ func init() {
 	sim.RegisterCacheCapacity("pdn_kernel", 512, kernelCache.SetCapacity)
 }
 
-// ResetKernelCache empties the shared impulse-response cache (benchmarks
-// use it to measure cold-start cost).
+// ResetKernelCache empties the shared kernel cache (benchmarks use it to
+// measure cold-start cost).
 func ResetKernelCache() { kernelCache.Reset() }
 
-// KernelCacheStats reports the shared impulse-response cache's
-// effectiveness (hits, misses, evictions, residency).
+// KernelCacheStats reports the shared kernel cache's effectiveness (hits,
+// misses, evictions, residency).
 func KernelCacheStats() sim.CacheStats { return kernelCache.Stats() }
 
 // New constructs a Network. Zero-valued Params fields take the paper's
@@ -139,21 +203,17 @@ func New(p Params) (*Network, error) {
 		if err != nil {
 			return sampled{}, fmt.Errorf("pdn: %w", err)
 		}
-		kernel := sys.SampleImpulse(1/p.ClockHz, p.TruncRelTol, p.MaxKernelLen)
-		if len(kernel) == 0 {
-			return sampled{}, fmt.Errorf("pdn: empty impulse-response kernel")
-		}
-		fftk, err := fft.NewKernel(kernel, 0)
+		k, err := newKernel(sys, p)
 		if err != nil {
-			return sampled{}, fmt.Errorf("pdn: %w", err)
+			return sampled{}, err
 		}
-		return sampled{sys: sys, kernel: kernel, fftk: fftk}, nil
+		return sampled{sys: sys, k: k}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	telemetry.Default().Counter("pdn.networks_built_total").Inc()
-	return &Network{params: p, sys: sk.sys, kernel: sk.kernel, fftk: sk.fftk}, nil
+	return &Network{params: p, sys: sk.sys, k: sk.k}, nil
 }
 
 // Calibrate sets the network's peak impedance from the de facto target-
@@ -193,8 +253,8 @@ func (n *Network) Params() Params { return n.params }
 // System exposes the underlying second-order model.
 func (n *Network) System() *linsys.SecondOrder { return n.sys }
 
-// KernelLen reports the truncated impulse-response length in cycles.
-func (n *Network) KernelLen() int { return len(n.kernel) }
+// KernelLen reports the truncated impulse-response length M in cycles.
+func (n *Network) KernelLen() int { return n.k.m }
 
 // ResonantPeriodCycles returns the resonant period expressed in CPU cycles,
 // rounded to the nearest integer (60 for the paper's defaults).
@@ -215,55 +275,37 @@ func (n *Network) VoltageTrace(current []float64) []float64 {
 	return out
 }
 
-// fftWork is the pooled per-goroutine state for one block convolution: the
-// FFT scratch plus the deviation buffer that decouples the convolver's
-// input from its output (overlap-save re-reads m-1 samples of history per
-// block, so convolving in place would read already-overwritten values).
-type fftWork struct {
-	scratch *fft.Scratch
-	dev     []float64
-}
-
 // ConvolveVoltages computes the supply voltage for an entire current trace
-// at once, writing into dst (which must have length >= len(current) and
-// may alias current). Traces at least one kernel length long go through
-// the overlap-save FFT block convolver — O(log taps) per cycle instead of
-// O(taps) — while shorter traces use the streaming Simulator, whose output
-// is the bit-exact reference. The FFT path agrees with streaming to
-// <= 1e-9 V (pinned by the property tests in this package); callers that
-// need bit-exactness against Step must use a Simulator directly.
-//
-// The history before the trace is quiescent (I = IFloor, V = VNominal),
-// matching a fresh Simulator.
+// at once, writing into dst (which must have length >= len(current)). dst
+// may be current itself but must not otherwise overlap it. The voltages
+// are bit-identical to stepping a fresh Simulator through the trace: the
+// same recurrence runs, with the history before the trace quiescent
+// (I = IFloor, V = VNominal). Only the source of the delayed inputs
+// x[n-M] and x[n-M-1] differs — the trace itself, or a Simulator's ring
+// when the trace is being overwritten in place.
 func (n *Network) ConvolveVoltages(dst, current []float64) {
-	if len(current) < len(n.kernel) {
+	if len(current) == 0 {
+		return
+	}
+	if &dst[0] == &current[0] {
 		s := n.NewSimulator()
 		for i, c := range current {
 			dst[i] = s.Step(c)
 		}
-		s.Release()
 		return
 	}
-	var w *fftWork
-	if pooled, ok := n.fftPool.Get().(*fftWork); ok {
-		w = pooled
-	} else {
-		w = &fftWork{scratch: n.fftk.NewScratch()}
-	}
-	if cap(w.dev) < len(current) {
-		w.dev = make([]float64, len(current))
-	}
-	dev := w.dev[:len(current)]
-	ifloor := n.params.IFloor
+	s := Simulator{net: n}
+	m, ifloor := n.k.m, n.params.IFloor
 	for i, c := range current {
-		dev[i] = c - ifloor
+		var xM, xM1 float64
+		if i >= m {
+			xM = current[i-m] - ifloor
+		}
+		if i > m {
+			xM1 = current[i-m-1] - ifloor
+		}
+		dst[i] = s.advance(c-ifloor, xM, xM1)
 	}
-	n.fftk.Convolve(dst, dev, w.scratch)
-	vnom := n.params.VNominal
-	for i := range dst[:len(current)] {
-		dst[i] = vnom - dst[i]
-	}
-	n.fftPool.Put(w)
 }
 
 // WorstCaseDeviation drives the network with a sustained square wave
@@ -275,7 +317,7 @@ func (n *Network) WorstCaseDeviation(iMin, iMax float64) float64 {
 	if period < 2 {
 		period = 2
 	}
-	cycles := len(n.kernel) + 20*period
+	cycles := n.k.m + 20*period
 	sim := n.NewSimulator()
 	worst := 0.0
 	for c := 0; c < cycles; c++ {
@@ -291,60 +333,41 @@ func (n *Network) WorstCaseDeviation(iMin, iMax float64) float64 {
 	return worst
 }
 
-// Simulator carries the mutable streaming-convolution state for one run.
-// It is not safe for concurrent use; create one per goroutine.
+// Simulator carries the mutable recurrence state for one run. It is not
+// safe for concurrent use; create one per goroutine.
 type Simulator struct {
-	net  *Network
-	hist []float64 // ring buffer of past current deviations (I - IFloor)
-	pos  int       // next write index
-	n    int       // cycles processed
+	net    *Network
+	y1, y2 float64   // voltage drop at n-1 and n-2
+	x1     float64   // input deviation (I - IFloor) at n-1
+	hist   []float64 // ring of the last M+2 input deviations
+	pos    int       // ring slot of x[n]; x[n-M-1] and x[n-M] follow it
+	n      int       // cycles processed
 }
 
 // NewSimulator creates a fresh streaming voltage simulator whose history is
-// all at IFloor (quiescent, V = VNominal). History buffers are recycled
-// across runs via the network's pool; call Release when done with a
-// simulator to return its buffer.
+// all at IFloor (quiescent, V = VNominal).
 func (n *Network) NewSimulator() *Simulator {
-	if h, ok := n.simPool.Get().([]float64); ok && len(h) == len(n.kernel) {
-		for i := range h {
-			h[i] = 0
-		}
-		return &Simulator{net: n, hist: h}
-	}
-	return &Simulator{net: n, hist: make([]float64, len(n.kernel))}
+	return &Simulator{net: n, hist: make([]float64, n.k.m+2)}
 }
 
-// Release returns the simulator's history buffer to the network's pool.
-// The simulator must not be used afterwards.
-func (s *Simulator) Release() {
-	if s.hist == nil {
-		return
-	}
-	s.net.simPool.Put(s.hist)
-	s.hist = nil
-}
+// Release marks the simulator as finished; it must not be used
+// afterwards. It holds nothing but its own memory, so Release only drops
+// the ring for the garbage collector.
+func (s *Simulator) Release() { s.hist = nil }
 
 // Step advances one CPU cycle with the given load current (amperes) and
-// returns the supply voltage at this cycle.
-//
-// This is the hottest loop in the repository (kernel-length multiply-adds
-// per simulated cycle), so the ring-buffer walk is split into its two
-// contiguous halves instead of testing for wrap every tap. The summation
-// order is unchanged — newest sample first — so results stay bit-identical
-// to the naive loop.
+// returns the supply voltage at this cycle: six multiply-adds, whatever
+// the kernel length.
 //
 //didt:hotpath
 func (s *Simulator) Step(current float64) float64 {
-	k := s.net.kernel
-	h := s.hist
-	h[s.pos] = current - s.net.params.IFloor
-	drop := dotRing(0, k, h, 0, s.pos)
-	s.pos++
-	if s.pos == len(h) {
+	x := current - s.net.params.IFloor
+	xM, xM1 := s.tail()
+	s.hist[s.pos] = x
+	if s.pos++; s.pos == len(s.hist) {
 		s.pos = 0
 	}
-	s.n++
-	return s.net.params.VNominal - drop
+	return s.advance(x, xM, xM1)
 }
 
 // Peek returns the voltage that would result if the given current were
@@ -353,257 +376,51 @@ func (s *Simulator) Step(current float64) float64 {
 //
 //didt:hotpath
 func (s *Simulator) Peek(current float64) float64 {
-	k := s.net.kernel
-	h := s.hist
-	drop := dotRing(k[0]*(current-s.net.params.IFloor), k, h, 1, s.pos-1)
-	return s.net.params.VNominal - drop
+	xM, xM1 := s.tail()
+	return s.net.params.VNominal - s.drop(current-s.net.params.IFloor, xM, xM1)
 }
 
-// dotRing accumulates acc + sum of k[i..] against the ring buffer h walked
-// backwards from idx (the slot holding the sample that kernel tap i
-// multiplies), wrapping once at the start. The walk is split into its two
-// contiguous halves instead of testing for wrap every tap; the summation
-// order — ascending kernel index, i.e. newest sample first — is the
-// bit-exactness contract Step, Peek and BatchSimulator all share.
+// tail returns the delayed inputs x[n-M] and x[n-M-1] for the cycle about
+// to be stepped: the ring holds x[n-M-1..n-1] in the M+1 slots after pos.
 //
 //didt:hotpath
-func dotRing(acc float64, k, h []float64, i, idx int) float64 {
-	for ; idx >= 0 && i < len(k); idx-- {
-		acc += k[i] * h[idx]
-		i++
+func (s *Simulator) tail() (xM, xM1 float64) {
+	i := s.pos + 1
+	if i == len(s.hist) {
+		i = 0
 	}
-	for idx = len(h) - 1; i < len(k); idx-- {
-		acc += k[i] * h[idx]
-		i++
+	xM1 = s.hist[i]
+	if i++; i == len(s.hist) {
+		i = 0
 	}
-	return acc
+	return s.hist[i], xM1
+}
+
+// drop evaluates the recurrence for input deviation x at this cycle. Step,
+// Peek and ConvolveVoltages all go through it, so they agree to the bit.
+//
+//didt:hotpath
+func (s *Simulator) drop(x, xM, xM1 float64) float64 {
+	k := &s.net.k
+	return k.b0*x + k.b1*s.x1 + k.bM*xM + k.bM1*xM1 + k.a1*s.y1 - k.a2*s.y2
+}
+
+// advance commits one cycle with input deviation x and returns its supply
+// voltage.
+//
+//didt:hotpath
+func (s *Simulator) advance(x, xM, xM1 float64) float64 {
+	y := s.drop(x, xM, xM1)
+	s.x1, s.y2, s.y1 = x, s.y1, y
+	s.n++
+	return s.net.params.VNominal - y
 }
 
 // Cycles reports how many cycles have been simulated.
 func (s *Simulator) Cycles() int { return s.n }
 
-// Lanes is the preferred BatchSimulator width: eight float64 history
-// samples per ring slot is one 64-byte cache line, and the width the
-// specialized register-accumulator inner loop is built for.
-const Lanes = 8
-
-// BatchSimulator advances W independent runs on the same Network in
-// lockstep through one structure-of-arrays inner loop. The history buffer
-// is laid out slot-major (hist[slot*W + lane]), so each kernel tap touches
-// one contiguous W-wide row and the per-tap kernel load plus ring-index
-// arithmetic is amortized across all lanes — the sweep engine groups runs
-// that share a PDN kernel and steps them through one of these.
-//
-// Per lane, the accumulation order is exactly Simulator.Step's (ascending
-// kernel index), so every lane's voltage sequence is bit-identical to
-// running that lane alone on a Simulator. Not safe for concurrent use.
-type BatchSimulator struct {
-	net  *Network
-	w    int
-	hist []float64 // len(kernel) * w deviations, slot-major
-	acc  []float64 // per-lane accumulators, reused across steps
-	pos  int       // next write slot
-	n    int       // cycles processed
-}
-
-// NewBatchSimulator creates a lockstep simulator for w lanes, all starting
-// quiescent (history at IFloor, V = VNominal).
-func (n *Network) NewBatchSimulator(w int) *BatchSimulator {
-	if w < 1 {
-		w = 1
-	}
-	return &BatchSimulator{
-		net:  n,
-		w:    w,
-		hist: make([]float64, len(n.kernel)*w),
-		acc:  make([]float64, w),
-	}
-}
-
-// Lanes reports the batch width.
-func (b *BatchSimulator) Lanes() int { return b.w }
-
-// Cycles reports how many cycles have been simulated.
-func (b *BatchSimulator) Cycles() int { return b.n }
-
-// Step advances all lanes one CPU cycle: currents[l] is lane l's load
-// current and volts[l] receives its supply voltage. Both slices must have
-// length >= Lanes(). Zero allocations.
-//
-//didt:hotpath
-func (b *BatchSimulator) Step(currents, volts []float64) {
-	k := b.net.kernel
-	w := b.w
-	ifloor := b.net.params.IFloor
-	row := b.hist[b.pos*w : b.pos*w+w]
-	for l := 0; l < w; l++ {
-		row[l] = currents[l] - ifloor
-	}
-	if w == Lanes {
-		b.step8(volts)
-		return
-	}
-	if w == 4 {
-		b.step4(volts)
-		return
-	}
-	acc := b.acc[:w]
-	for l := 0; l < w; l++ {
-		acc[l] = 0
-	}
-	// Same two-half ring walk as Simulator.Step, with the lane loop
-	// innermost so each tap's row is one contiguous cache-line-friendly
-	// read. Per lane the taps still accumulate in ascending order.
-	i := 0
-	for idx := b.pos; idx >= 0 && i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*w : idx*w+w]
-		for l := 0; l < w; l++ {
-			acc[l] += ki * r[l]
-		}
-		i++
-	}
-	for idx := len(k) - 1; i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*w : idx*w+w]
-		for l := 0; l < w; l++ {
-			acc[l] += ki * r[l]
-		}
-		i++
-	}
-	b.pos++
-	if b.pos == len(k) {
-		b.pos = 0
-	}
-	b.n++
-	vnom := b.net.params.VNominal
-	for l := 0; l < w; l++ {
-		volts[l] = vnom - acc[l]
-	}
-}
-
-// step8 is the full-width specialization: eight scalar accumulators live
-// in registers across the whole tap walk (the generic loop's slice-based
-// accumulators force a store+load per tap), and each tap's 64-byte row is
-// one cache line. Accumulation order per lane is identical to the generic
-// loop and to Simulator.Step.
-//
-//didt:hotpath
-func (b *BatchSimulator) step8(volts []float64) {
-	k := b.net.kernel
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	i := 0
-	for idx := b.pos; idx >= 0 && i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*Lanes : idx*Lanes+Lanes : idx*Lanes+Lanes]
-		a0 += ki * r[0]
-		a1 += ki * r[1]
-		a2 += ki * r[2]
-		a3 += ki * r[3]
-		a4 += ki * r[4]
-		a5 += ki * r[5]
-		a6 += ki * r[6]
-		a7 += ki * r[7]
-		i++
-	}
-	for idx := len(k) - 1; i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*Lanes : idx*Lanes+Lanes : idx*Lanes+Lanes]
-		a0 += ki * r[0]
-		a1 += ki * r[1]
-		a2 += ki * r[2]
-		a3 += ki * r[3]
-		a4 += ki * r[4]
-		a5 += ki * r[5]
-		a6 += ki * r[6]
-		a7 += ki * r[7]
-		i++
-	}
-	b.pos++
-	if b.pos == len(k) {
-		b.pos = 0
-	}
-	b.n++
-	vnom := b.net.params.VNominal
-	volts[0] = vnom - a0
-	volts[1] = vnom - a1
-	volts[2] = vnom - a2
-	volts[3] = vnom - a3
-	volts[4] = vnom - a4
-	volts[5] = vnom - a5
-	volts[6] = vnom - a6
-	volts[7] = vnom - a7
-}
-
-// step4 is the half-width specialization the threshold solver uses (one
-// lane per worst-case scenario): four register accumulators across the tap
-// walk, same per-lane accumulation order as the generic loop, step8 and
-// Simulator.Step.
-//
-//didt:hotpath
-func (b *BatchSimulator) step4(volts []float64) {
-	k := b.net.kernel
-	var a0, a1, a2, a3 float64
-	i := 0
-	for idx := b.pos; idx >= 0 && i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*4 : idx*4+4 : idx*4+4]
-		a0 += ki * r[0]
-		a1 += ki * r[1]
-		a2 += ki * r[2]
-		a3 += ki * r[3]
-		i++
-	}
-	for idx := len(k) - 1; i < len(k); idx-- {
-		ki := k[i]
-		r := b.hist[idx*4 : idx*4+4 : idx*4+4]
-		a0 += ki * r[0]
-		a1 += ki * r[1]
-		a2 += ki * r[2]
-		a3 += ki * r[3]
-		i++
-	}
-	b.pos++
-	if b.pos == len(k) {
-		b.pos = 0
-	}
-	b.n++
-	vnom := b.net.params.VNominal
-	volts[0] = vnom - a0
-	volts[1] = vnom - a1
-	volts[2] = vnom - a2
-	volts[3] = vnom - a3
-}
-
-// ExtractLane copies lane l's ring state into dst, a Simulator on the
-// same Network. Both layouts index history by the same slot sequence (slot
-// = cycle mod kernel length, identical write position and walk order), so
-// after the copy, stepping dst continues lane l's voltage sequence
-// bit-identically — the only difference between the two is storage stride.
-// RunBatch uses this to let a nearly drained batch finish its last lanes
-// on the cheaper per-run path.
-func (b *BatchSimulator) ExtractLane(l int, dst *Simulator) {
-	for i := range dst.hist {
-		dst.hist[i] = b.hist[i*b.w+l]
-	}
-	dst.pos = b.pos
-	dst.n = b.n
-}
-
-// Reset returns all lanes to the quiescent state.
-func (b *BatchSimulator) Reset() {
-	for i := range b.hist {
-		b.hist[i] = 0
-	}
-	b.pos = 0
-	b.n = 0
-}
-
 // Reset returns the simulator to the quiescent state.
 func (s *Simulator) Reset() {
-	for i := range s.hist {
-		s.hist[i] = 0
-	}
-	s.pos = 0
-	s.n = 0
+	clear(s.hist)
+	*s = Simulator{net: s.net, hist: s.hist}
 }

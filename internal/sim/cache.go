@@ -201,8 +201,8 @@ func (c *Cache[K, V]) unlinkLocked(e *cacheEntry[K, V]) {
 // already completed; it never blocks and never computes. In-flight entries
 // report (zero, false) — a caller that cannot wait must treat them as
 // absent. A found entry counts as a hit and is refreshed in the LRU order;
-// an absent or in-flight one counts as a miss. The batch scheduler probes
-// with this before grouping the misses into one lockstep computation.
+// an absent or in-flight one counts as a miss. The experiment job
+// scheduler probes with this before running the misses itself.
 func (c *Cache[K, V]) Lookup(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -217,7 +217,7 @@ func (c *Cache[K, V]) Lookup(k K) (V, bool) {
 	return zero, false
 }
 
-// Put stores a value computed outside the cache (e.g. by the batch
+// Put stores a value computed outside the cache (e.g. by the job
 // scheduler, which probed with Lookup, ran the misses itself, and now
 // backfills). It counts neither hit nor miss — the Lookup already counted
 // the miss — and leaves existing or in-flight entries untouched: values
