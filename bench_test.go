@@ -132,6 +132,31 @@ func BenchmarkControlledCycles(b *testing.B) {
 	}
 }
 
+// BenchmarkControlledSPECCycles is BenchmarkControlledCycles on a
+// memory-bound SPEC profile (facerec, FU/DL1 actuation, 200% impedance).
+// The stressmark never stalls on memory, so only a workload like this one
+// exercises the core's quiet-cycle replay and the power model's memo.
+func BenchmarkControlledSPECCycles(b *testing.B) {
+	prog, err := Benchmark("facerec", 1<<30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sp RunSpec
+	sp.PDN.ImpedancePct = 2
+	sp.Control.Enabled = true
+	sp.Actuator.Mechanism = FUDL1.Name
+	sp.Sensor.DelayCycles = 2
+	sp.Budget.MaxCycles = 1 << 62
+	sys, err := NewSystem(prog, Options{Spec: sp})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.StepCycle()
+	}
+}
+
 // BenchmarkTelemetryOff measures coupled throughput with a tracer attached
 // but disabled — the configuration every production sweep runs in. The
 // observability contract is that this stays within 2% of

@@ -83,12 +83,16 @@ go test -race -count=1 \
     ./internal/server ./internal/store
 
 # Allocation gate: the PDN voltage kernel (the streaming recurrence step,
-# the whole-trace convolution and the coupled rail-graph step) must stay
+# the whole-trace convolution and the coupled rail-graph step) and the
+# machine half of the closed loop (cpu.StepInto, power.Step and the whole
+# controlled StepCycle, warm, on a memory-bound SPEC profile) must stay
 # allocation-free — at a few ns per cycle, one allocation per cycle
 # would cost more than the kernel itself. The benchmarks run under
 # -benchmem and any "N allocs/op" with N > 0 fails.
 go test -run NONE -bench 'BenchmarkStep$|BenchmarkConvolve$|BenchmarkGraphStep$' \
     -benchtime 100x -benchmem ./internal/pdn | tee /tmp/didt_allocgate.txt
+go test -run NONE -bench 'BenchmarkStepInto$|BenchmarkPowerStep$|BenchmarkStepCycle$' \
+    -benchtime 1000x -benchmem ./internal/core | tee -a /tmp/didt_allocgate.txt
 ! grep -E ' [1-9][0-9]* allocs/op' /tmp/didt_allocgate.txt
 
 # Perf gate: the telemetry-off hot path (a disabled cycle tracer attached

@@ -66,3 +66,11 @@ func (s Stats) IPC() float64 {
 	}
 	return float64(s.Instructions) / float64(s.Cycles)
 }
+
+// quiet reports whether no pipeline stage did anything this cycle: every
+// count is zero (an issue also counts in Issued, so IssuedByClass needs no
+// separate check).
+func (a *Activity) quiet() bool {
+	return a.Fetched|a.Dispatched|a.Issued|a.Completed|a.Committed|a.BpredLookups|
+		a.ICacheAccess|a.DCacheAccess|a.L2Access|a.RegReads|a.RegWrites|a.WindowWakeups == 0
+}

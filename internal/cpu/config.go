@@ -146,10 +146,25 @@ func (c Config) Validate() error {
 	if c.FetchWidth < 1 || c.IssueWidth < 1 || c.CommitWidth < 1 || c.DecodeWidth < 1 {
 		return fmt.Errorf("cpu: pipeline widths must be positive")
 	}
+	// A completion is filed in the calendar bucket of its finish cycle, so
+	// no operation may take calBuckets cycles or more: it would wrap onto
+	// a bucket that is drained before it is due, and never complete.
+	for _, l := range [...]struct {
+		name string
+		lat  int
+	}{
+		{"LatIntALU", c.LatIntALU}, {"LatIntMult", c.LatIntMult}, {"LatIntDiv", c.LatIntDiv},
+		{"LatFPAdd", c.LatFPAdd}, {"LatFPMult", c.LatFPMult}, {"LatFPDiv", c.LatFPDiv},
+	} {
+		if l.lat < 0 || l.lat >= calBuckets {
+			return fmt.Errorf("cpu: %s %d outside [0, %d)", l.name, l.lat, calBuckets)
+		}
+	}
 	return nil
 }
 
-// latency returns (execution latency, pipelined) for a class.
+// latency returns (execution latency, pipelined) for a class. New folds it
+// into the predecoded program; the stages never call it per cycle.
 func (c Config) latency(cl isa.Class) (int, bool) {
 	switch cl {
 	case isa.ClassIntALU, isa.ClassBranch:

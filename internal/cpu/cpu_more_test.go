@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"didt/internal/isa"
@@ -399,5 +400,61 @@ func TestFlushRestartsFetchQueue(t *testing.T) {
 	}
 	if flushes == 0 {
 		t.Fatal("no flushes exercised")
+	}
+}
+
+// TestLatencyMustFitCalendar: a completion is filed calBuckets-modulo, so
+// a latency of calBuckets or more would wrap onto a bucket drained before
+// it is due and never complete — the pipeline wedged thousands of cycles
+// later instead of the configuration being refused. Negative latencies
+// are refused too (they acted as 1 under a different spec key).
+func TestLatencyMustFitCalendar(t *testing.T) {
+	prog := isa.Program{{Op: isa.HALT}}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config, int)
+	}{
+		{"LatIntALU", func(c *Config, v int) { c.LatIntALU = v }},
+		{"LatIntMult", func(c *Config, v int) { c.LatIntMult = v }},
+		{"LatIntDiv", func(c *Config, v int) { c.LatIntDiv = v }},
+		{"LatFPAdd", func(c *Config, v int) { c.LatFPAdd = v }},
+		{"LatFPMult", func(c *Config, v int) { c.LatFPMult = v }},
+		{"LatFPDiv", func(c *Config, v int) { c.LatFPDiv = v }},
+	} {
+		for _, bad := range []int{-1, calBuckets, 2000} {
+			cfg := DefaultConfig()
+			tc.set(&cfg, bad)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("%s=%d: Validate error %v, want one naming %s", tc.name, bad, err, tc.name)
+			}
+			if _, err := New(cfg, prog); err == nil {
+				t.Errorf("%s=%d: New accepted it", tc.name, bad)
+			}
+		}
+	}
+
+	// The longest latency that fits still completes, on the divider the
+	// parent's repro wedged.
+	b := isa.NewBuilder()
+	b.FLdI(1, 1e30).FLdI(2, 1.5).FDiv(1, 1, 2).FDiv(1, 1, 2).Halt()
+	c, err := New(Config{LatFPDiv: calBuckets - 1}, b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10*calBuckets && !c.Done(); i++ {
+		c.Step()
+	}
+	if !c.Done() || c.Err() != nil {
+		t.Fatalf("two fdivs of latency %d: done=%v err=%v", calBuckets-1, c.Done(), c.Err())
+	}
+	if got := c.Stats().Cycles; got < 2*(calBuckets-1) {
+		t.Errorf("two chained fdivs took %d cycles, want >= %d", got, 2*(calBuckets-1))
+	}
+
+	// The memory hierarchy's resolved latencies are checked as well.
+	var cfg Config
+	cfg.Mem.MemLat = calBuckets
+	if _, err := New(cfg, prog); err == nil {
+		t.Error("New accepted a memory latency beyond the calendar")
 	}
 }

@@ -241,3 +241,29 @@ func TestResolveRejectsInvalid(t *testing.T) {
 		t.Fatalf("Program: %v", err)
 	}
 }
+
+// TestResolveRejectsCalendarWrappingLatency: an FU latency must be below
+// the core's completion calendar. This spec used to resolve, then fail
+// its run with "pipeline wedged at cycle 11664" when the divide's
+// completion wrapped the calendar; a negative latency used to resolve to
+// a distinct key while acting as 1.
+func TestResolveRejectsCalendarWrappingLatency(t *testing.T) {
+	for _, body := range []string{
+		`{"workload":{"name":"swim"},"cpu":{"LatFPDiv":2000},"budget":{"max_cycles":50000}}`,
+		`{"workload":{"name":"swim"},"cpu":{"LatIntALU":-3}}`,
+	} {
+		var s RunSpec
+		if err := json.Unmarshal([]byte(body), &s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Resolve(); err == nil || !strings.Contains(err.Error(), "cpu: Lat") {
+			t.Errorf("%s: Resolve error %v, want a cpu latency error", body, err)
+		}
+	}
+	var ok RunSpec
+	ok.Workload.Name = "swim"
+	ok.CPU.LatFPDiv = 1023
+	if _, err := ok.Resolve(); err != nil {
+		t.Errorf("LatFPDiv 1023 fits the calendar but Resolve refused it: %v", err)
+	}
+}
