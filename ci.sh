@@ -66,11 +66,12 @@ go test -race -count=1 \
 # at parallel 1 and 4 whether tracing is enabled or not.
 go test -race -count=1 -run TestParallelOutputIdenticalWithSpans ./internal/experiments
 
-# Multi-rail smoke test under the race detector: the rail-graph family's
-# rendered bytes identical at parallel 1 and 8, and the multi-rail core
-# (per-rail sensing, coupled streaming vs open-loop bit-identity, DVS
-# composition) clean under race.
-go test -race -count=1 -run 'TestRailsFamilyParallelDeterminism|TestMultiRail' \
+# Rail-graph smoke test under the race detector: the rail-graph family's
+# rendered bytes identical at parallel 1 and 8, and the one closed loop
+# that runs every rail count (per-rail sensing, coupled streaming vs
+# open-loop bit-identity, DVS composition, and the per-cycle loop digest
+# of one- and three-rail runs) clean under race.
+go test -race -count=1 -run 'TestRailsFamilyParallelDeterminism|TestMultiRail|TestLoopDigestGolden' \
     ./internal/experiments ./internal/core
 
 # Result-store smoke test under the race detector: concurrent identical
@@ -85,8 +86,9 @@ go test -race -count=1 \
 # Allocation gate: the PDN voltage kernel (the streaming recurrence step,
 # the whole-trace convolution and the coupled rail-graph step) and the
 # machine half of the closed loop (cpu.StepInto, power.Step and the whole
-# controlled StepCycle, warm, on a memory-bound SPEC profile) must stay
-# allocation-free — at a few ns per cycle, one allocation per cycle
+# controlled StepCycle of the unified rail loop, warm, on a memory-bound
+# SPEC profile; TestMachineZeroAlloc pins StepCycle on one and three
+# rails) must stay allocation-free — at a few ns per cycle, one allocation per cycle
 # would cost more than the kernel itself. The benchmarks run under
 # -benchmem and any "N allocs/op" with N > 0 fails.
 go test -run NONE -bench 'BenchmarkStep$|BenchmarkConvolve$|BenchmarkGraphStep$' \

@@ -94,18 +94,17 @@ func TestDVSLowDuringQuietResetsHold(t *testing.T) {
 	}
 }
 
-func TestDVSDrivenModeIgnoresRespond(t *testing.T) {
+func TestDVSAdvancesOnlyThroughObserve(t *testing.T) {
 	d := NewDVS(FU, []float64{1, 0.9}, 0, 5, 2)
-	d.Driven = true
 	for i := 0; i < 10; i++ {
 		d.Respond(sensor.Low)
 	}
 	if d.Scale() != 1 {
-		t.Errorf("driven schedule advanced through Respond: %g", d.Scale())
+		t.Errorf("schedule advanced through Respond: %g", d.Scale())
 	}
 	d.Observe(sensor.Low)
 	if d.Scale() != 0.9 {
-		t.Errorf("driven schedule ignored Observe: %g", d.Scale())
+		t.Errorf("schedule ignored Observe: %g", d.Scale())
 	}
 }
 

@@ -83,9 +83,10 @@ type Result struct {
 	LowEvents  uint64 // distinct gating actuations
 	HighEvents uint64 // distinct phantom actuations
 
-	// Rails carries per-rail summaries on a multi-rail run (spec order;
-	// nil otherwise). The top-level MinV/MaxV are then the worst across
-	// rails, Emergencies counts cycles where any rail left its band, and
+	// Rails carries one summary per delivery rail, in spec order; a spec
+	// without a rails section reports its one implicit whole-chip rail,
+	// "chip". The top-level MinV/MaxV are the worst across rails,
+	// Emergencies counts cycles where any rail left its band, and
 	// Thresholds/VNominal describe rail 0.
 	Rails []RailResult
 
@@ -106,16 +107,18 @@ type System struct {
 	opts Options
 	spec spec.RunSpec // resolved (WithDefaults applied)
 
-	CPU    *cpu.CPU
-	Power  *power.Model
+	CPU   *cpu.CPU
+	Power *power.Model
+	// Net, Sim and Sensor are rail 0's network, streaming simulator and
+	// sensor (nil when rail 0 is not sensed) — the whole chip's on a spec
+	// without a rails section.
 	Net    *pdn.Network
 	Sim    *pdn.Simulator
 	Sensor *sensor.Sensor
 
-	thresholds control.Thresholds
-	policy     control.Policy
-	responder  actuator.Responder
-	counting   *actuator.Counting
+	policy    control.Policy
+	responder actuator.Responder
+	counting  *actuator.Counting
 
 	// Telemetry stream plus the previous-cycle states whose transitions
 	// become events.
@@ -133,180 +136,97 @@ type System struct {
 	rampLeft    int
 
 	cycle  uint64
-	minV   float64
-	maxV   float64
-	emerg  uint64
+	emerg  uint64 // post-warmup cycles in which any rail left its band
 	hist   *stats.Histogram
 	curTr  trace.Trace
 	voltTr trace.Trace
 	iMin   float64
 	iMax   float64
 
-	// Multi-rail state (see multirail.go). rails is nil on a single-rail
-	// system, and every legacy path keys off that.
+	// The delivery rails (see rails.go) and their per-cycle scratch.
 	graph    *pdn.Graph
 	gsim     *pdn.GraphSimulator
 	rails    []railState
 	railOf   [power.NumScopes]int // delivery scope -> owning rail index
-	scopeCur []float64            // per-cycle scratch: current by scope
-	railCur  []float64            // per-cycle scratch: current by rail
-	railVolt []float64            // per-cycle scratch: voltage by rail
+	scopeCur []float64            // current by scope
+	railCur  []float64            // current by rail
+	railVolt []float64            // voltage by rail
 
-	// dvs, when non-nil, scales the machine's current draw by the schedule's
-	// operating point (set on both single- and multi-rail systems when the
-	// spec carries a DVS section).
+	// dvs, when non-nil, scales the machine's current draw by the
+	// schedule's operating point; the loop advances it from rail dvsRail's
+	// sensed level, or from the aggregate level when dvsRail is -1.
 	dvs     *actuator.DVS
-	dvsRail int // rail whose sensor drives the schedule; -1 = aggregate
+	dvsRail int
 }
 
-// NewSystem builds the coupled system for a program. The PDN is calibrated
-// so that the theoretical worst-case current waveform exactly reaches the
-// emergency boundary at 100% target impedance, then scaled by
-// ImpedancePct; controller thresholds are solved for the configured delay
-// and actuator authority, with noise guard-banding applied.
+// NewSystem builds the coupled system for a program. Each rail's PDN is
+// calibrated so that the theoretical worst-case current waveform exactly
+// reaches the emergency boundary at 100% target impedance, then scaled by
+// its impedance; controller thresholds are solved per rail for the
+// configured delay and actuator authority, with noise guard-banding
+// applied.
 func NewSystem(prog isa.Program, opts Options) (*System, error) {
 	sp := opts.Spec.WithDefaults()
+	if len(sp.PDN.Rails) > 1 && opts.Responder != nil {
+		return nil, fmt.Errorf("core: multi-rail specs do not support code-level responder overrides; use the actuator spec")
+	}
 	c, err := cpu.New(sp.CPU, prog)
 	if err != nil {
 		return nil, err
 	}
-	pm := power.New(sp.Power, c.Config())
-	if sp.PDN.MultiRail() {
-		s := &System{
-			opts:  opts,
-			spec:  sp,
-			CPU:   c,
-			Power: pm,
-			minV:  math.Inf(1),
-			maxV:  math.Inf(-1),
-			hist:  stats.NewHistogram(0.90, 1.10, 200),
-		}
-		s.stream = opts.Telemetry.Stream(opts.TelemetryName)
-		return newMultiRailSystem(s, sp, opts)
-	}
-	iMin, iMax := sp.PDN.EnvelopeIMin, sp.PDN.EnvelopeIMax
-	if iMin == 0 || iMax == 0 {
-		// The probe memo keys on the as-given (pre-resolution) CPU/power
-		// sections, so distinct sparse specs keep distinct entries even
-		// when they resolve to the same configuration.
-		mMin, mMax, err := measureEnvelope(opts.Spec.CPU, opts.Spec.Power)
-		if err != nil {
-			return nil, err
-		}
-		if iMin == 0 {
-			iMin = mMin
-		}
-		if iMax == 0 {
-			iMax = mMax
-		}
-	}
-
-	// The voltage regulator's reference point: it holds the supply at
-	// exactly nominal for the midpoint current, so workload swings produce
-	// the symmetric over- and under-shoots of the paper's Figures 2 and 6
-	// (an idle machine sits slightly above nominal, a saturated one
-	// slightly below, and transients ring around both).
-	pdnParams := sp.PDN.Params
-	pdnParams.IFloor = 0.5 * (iMin + iMax)
-	net, err := pdn.Calibrate(pdnParams, iMin, iMax, sp.PDN.ImpedancePct)
-	if err != nil {
-		return nil, err
-	}
-
-	noise := sp.Sensor.NoiseMV * 1e-3
-	sen, err := sensor.New(sp.Sensor.DelayCycles, noise, sp.Seed.Resolve(0))
-	if err != nil {
-		return nil, err
-	}
-
 	s := &System{
-		opts:   opts,
-		spec:   sp,
-		CPU:    c,
-		Power:  pm,
-		Net:    net,
-		Sim:    net.NewSimulator(),
-		Sensor: sen,
-		minV:   math.Inf(1),
-		maxV:   math.Inf(-1),
-		hist:   stats.NewHistogram(0.90, 1.10, 200),
-		iMin:   iMin,
-		iMax:   iMax,
+		opts:  opts,
+		spec:  sp,
+		CPU:   c,
+		Power: power.New(sp.Power, c.Config()),
+		hist:  stats.NewHistogram(0.90, 1.10, 200),
 	}
-
+	if err := s.buildRails(); err != nil {
+		return nil, err
+	}
 	s.stream = opts.Telemetry.Stream(opts.TelemetryName)
 
+	var mech actuator.Mechanism
 	s.responder = opts.Responder
 	if s.responder == nil {
-		mech, err := sp.Mechanism()
-		if err != nil {
+		if mech, err = sp.Mechanism(); err != nil {
 			return nil, err
 		}
 		s.responder = mech
 	}
 	s.dvsRail = -1
 	if d := sp.Actuator.DVS; d != nil {
-		// Single-rail DVS: the schedule advances through Respond (one rail,
-		// one sensed level), composed around whatever responder is in place.
+		// DVS composes around whatever responder is in place; the loop
+		// itself advances the schedule (see observe).
 		s.dvs = actuator.NewDVS(s.responder, d.Steps, d.TransitionCycles, d.HoldCycles, d.CurrentExponent)
 		s.responder = s.dvs
+		for i := range s.rails {
+			if s.rails[i].name == d.Rail {
+				s.dvsRail = i
+			}
+		}
 	}
 	if sp.Control.Enabled {
 		// The counting wrapper feeds actuation tallies into the metrics
 		// registry at the end of the run; one plain increment per cycle.
 		s.counting = &actuator.Counting{R: s.responder}
 		s.responder = s.counting
-
-		floor, ceil := s.responder.Envelope(pm)
-		solver := control.NewSolver(net)
-		th, err := solver.Solve(control.Envelope{
-			IMin: iMin, IMax: iMax,
-			Floor: floor, Ceil: ceil,
-			Settle: sp.Control.SettleCycles,
-		}, sp.Sensor.DelayCycles)
-		if err != nil {
-			return nil, err
-		}
-		// Guard-band for sensor error (Section 4.5): raise Low and lower
-		// High by the guard band (defaulting to the noise amplitude) so a
-		// worst-case misreading still triggers in time.
-		guard := sp.Sensor.GuardBandMV * 1e-3
-		if th.Stable {
-			lo, hi := th.Low+guard, th.High-guard
-			if lo >= hi {
-				th.Stable = false
-			} else {
-				th.Low, th.High, th.SafeWindow = lo, hi, hi-lo
-			}
-		}
-		if !th.Stable {
-			// No guaranteed thresholds exist (e.g. FU-only actuation with
-			// large delay). Run with maximally conservative trip points so
-			// the instability is observable, as in Figure 17.
-			p := net.Params()
-			th.Low = p.VNominal - 0.25*(p.VNominal-net.VMin())
-			th.High = p.VNominal + 0.25*(net.VMax()-p.VNominal)
-			th.SafeWindow = th.High - th.Low
-		}
-		s.thresholds = th
-		if err := s.Sensor.SetThresholds(th.Low, th.High); err != nil {
+		if err := s.solveThresholds(mech); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// Thresholds returns the solved (and guard-banded) thresholds; zero value
-// when control is disabled.
-func (s *System) Thresholds() control.Thresholds { return s.thresholds }
+// Thresholds returns rail 0's solved (and guard-banded) thresholds; zero
+// value when control is disabled.
+func (s *System) Thresholds() control.Thresholds { return s.rails[0].th }
 
 // Close releases the PDN simulators. The system must not be stepped
 // afterwards; Close is optional.
 func (s *System) Close() {
 	if s.gsim != nil {
 		s.gsim.Release() // includes rail 0, which s.Sim aliases
-	} else if s.Sim != nil {
-		s.Sim.Release()
 	}
 	s.gsim, s.Sim = nil, nil
 }
@@ -329,62 +249,100 @@ type CycleState struct {
 	Done    bool
 }
 
-// StepCycle advances the loop one cycle.
+// StepCycle advances the loop one cycle: the machine step, one step of
+// the rail graph, then the observation of every rail's voltage.
 //
 //didt:hotpath
 func (s *System) StepCycle() CycleState {
-	if s.rails != nil {
-		return s.stepCycleMulti()
-	}
-	current, done := s.machineStep(&s.act)
-	v := s.Sim.Step(current)
-	return s.observe(&s.act, current, v, done)
+	total, done := s.machineStep(&s.act, s.railCur)
+	s.gsim.Step(s.railCur, s.railVolt)
+	return s.observe(&s.act, total, done)
 }
 
 // machineStep advances the machine half of the loop — actuator gating into
-// the core, core activity into the power model — and returns the cycle's
-// activity, load current and completion flag. Everything downstream of
-// the voltage lives in observe.
+// the core, core activity into the power model — fills railCur with each
+// rail's load current (scaled by the DVS operating point when one is
+// active) and returns the whole chip's current and the completion flag.
+// Everything downstream of the voltage lives in observe.
 //
 //didt:hotpath
-func (s *System) machineStep(act *cpu.Activity) (float64, bool) {
+func (s *System) machineStep(act *cpu.Activity, railCur []float64) (float64, bool) {
 	s.CPU.SetGating(s.gating)
 	done := s.CPU.StepInto(act)
 	rep := s.Power.Step(act, s.phantom)
+	scale := 1.0
 	if s.dvs != nil {
-		return rep.Current * s.dvs.CurrentScale(), done
+		scale = s.dvs.CurrentScale()
 	}
-	return rep.Current, done
+	total := rep.Current * scale
+	if len(railCur) == 1 {
+		// The only rail owns every scope and draws the chip's current as
+		// the power model summed it; a per-scope re-sum would round
+		// differently.
+		railCur[0] = total
+		return total, done
+	}
+	s.Power.ScopeCurrents(&rep, s.scopeCur)
+	for i := range railCur {
+		railCur[i] = 0
+	}
+	for sc, c := range s.scopeCur {
+		railCur[s.railOf[sc]] += c
+	}
+	for i := range railCur {
+		railCur[i] *= scale
+	}
+	return total, done
 }
 
-// observe ingests this cycle's voltage: statistics, traces, the sensor →
-// policy → responder control path, the pessimistic ramp, telemetry, and
-// the cycle counter. Exactly the post-convolution half of StepCycle.
+// observe ingests this cycle's rail voltages (s.railVolt): statistics,
+// traces, per-rail sensing and the aggregate control decision (any rail
+// low gates, else any rail high phantom-fires), the DVS schedule, the
+// pessimistic ramp, telemetry, and the cycle counter. Exactly the
+// post-convolution half of StepCycle.
 //
 //didt:hotpath
-func (s *System) observe(act *cpu.Activity, current, v float64, done bool) CycleState {
+func (s *System) observe(act *cpu.Activity, total float64, done bool) CycleState {
 	if s.cycle >= s.spec.Budget.WarmupCycles {
-		if v < s.minV {
-			s.minV = v
-		}
-		if v > s.maxV {
-			s.maxV = v
-		}
-		if v < s.Net.VMin() || v > s.Net.VMax() {
-			s.emerg++
-		}
-		s.hist.Add(v)
+		s.tally()
 	}
+	v := s.railVolt[0]
 	if s.opts.RecordTraces {
-		s.curTr = append(s.curTr, current) //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
-		s.voltTr = append(s.voltTr, v)     //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
+		s.curTr = append(s.curTr, total) //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
+		s.voltTr = append(s.voltTr, v)   //didt:allow hotpath -- trace recording is a debug mode; steady-state sweeps never enter this branch
 	}
 
 	level := sensor.Normal
 	if s.spec.Control.Enabled {
-		level = s.Sensor.Sense(v)
+		anyLow, anyHigh := false, false
+		for i := range s.rails {
+			r := &s.rails[i]
+			if r.sensor == nil {
+				r.level = sensor.Normal
+				continue
+			}
+			r.level = r.sensor.Sense(s.railVolt[i])
+			if r.level == sensor.Low {
+				anyLow = true
+			} else if r.level == sensor.High {
+				anyHigh = true
+			}
+		}
+		// Undervolt wins: gating beats phantom firing when rails disagree.
+		if anyLow {
+			level = sensor.Low
+		} else if anyHigh {
+			level = sensor.High
+		}
+		if s.dvs != nil {
+			drive := level
+			if s.dvsRail >= 0 {
+				drive = s.rails[s.dvsRail].level
+			}
+			s.dvs.Observe(drive)
+		}
 		lowBefore := s.policy.LowEvents
-		gate, phantom := s.policy.Update(level == sensor.Low, level == sensor.High)
+		gate, phantom := s.policy.Update(anyLow, anyHigh)
 		g, p := s.responder.Respond(level)
 		if !gate {
 			g = cpu.Gating{}
@@ -423,12 +381,14 @@ func (s *System) observe(act *cpu.Activity, current, v float64, done bool) Cycle
 	}
 
 	if s.stream.Enabled() {
-		s.emitCycle(current, v, level)
+		// Telemetry narrates rail 0 (the whole chip on a spec without a
+		// rails section); per-rail streams are future work.
+		s.emitCycle(total, v, level)
 	}
 
 	st := CycleState{
 		Cycle:   s.cycle,
-		Current: current,
+		Current: total,
 		Voltage: v,
 		Level:   level,
 		Gating:  s.gating,
@@ -437,6 +397,33 @@ func (s *System) observe(act *cpu.Activity, current, v float64, done bool) Cycle
 	}
 	s.cycle++
 	return st
+}
+
+// tally folds one post-warmup cycle's rail voltages (s.railVolt) into the
+// per-rail statistics, the voltage histogram and the aggregate emergency
+// count (finish takes the aggregate extremes from the rails').
+//
+//didt:hotpath
+func (s *System) tally() {
+	anyEmerg := false
+	for i := range s.rails {
+		r := &s.rails[i]
+		v := s.railVolt[i]
+		if v < r.minV {
+			r.minV = v
+		}
+		if v > r.maxV {
+			r.maxV = v
+		}
+		if v < r.vmin || v > r.vmax {
+			r.emerg++
+			anyEmerg = true
+		}
+		s.hist.Add(v)
+	}
+	if anyEmerg {
+		s.emerg++
+	}
 }
 
 // emitCycle records this cycle's telemetry: per-cycle voltage and current
@@ -466,7 +453,7 @@ func (s *System) emitCycle(current, v float64, level sensor.Level) {
 		s.stream.Emit(c, telemetry.KindPhantom, boolArg(ph), v)
 		s.phantomOn = ph
 	}
-	if emerg := v < s.Net.VMin() || v > s.Net.VMax(); emerg != s.emergActive {
+	if emerg := v < s.rails[0].vmin || v > s.rails[0].vmax; emerg != s.emergActive {
 		s.stream.Emit(c, telemetry.KindEmergency, boolArg(emerg), v)
 		s.emergActive = emerg
 	}
@@ -484,16 +471,13 @@ func boolArg(b bool) int32 {
 //
 // Open-loop runs — no controller, no pessimistic ramp, no responder, no
 // enabled telemetry stream — have a machine whose evolution cannot depend
-// on the voltage, so Run computes the whole current trace first (reusing
-// a cached trace when the program is keyed) and convolves it in one pass
-// with Network.ConvolveVoltages. That pass runs the same recurrence as the
-// streaming Simulator, so its voltages are bit-identical; anything that
+// on the voltage, so Run computes every rail's whole current trace first
+// (reusing cached traces when the program is keyed) and convolves them in
+// one pass with Graph.ConvolveVoltages. That pass runs the same recurrence
+// as the streaming simulators, so its voltages are bit-identical; anything that
 // feeds the voltage back (control, ramp, telemetry) steps cycle by cycle.
 func (s *System) Run() (*Result, error) {
 	if s.openLoop() {
-		if s.rails != nil {
-			return s.runOpenLoopMulti()
-		}
 		return s.runOpenLoop()
 	}
 	for s.cycle < s.spec.Budget.MaxCycles {
@@ -521,8 +505,8 @@ func (s *System) openLoop() bool {
 }
 
 // finish aggregates the run's statistics into a Result and publishes the
-// whole-run metrics. Every completion path — streaming and open-loop, one
-// rail or many — funnels through here.
+// whole-run metrics. Both completion paths — streaming and open-loop —
+// funnel through here.
 func (s *System) finish(st cpu.Stats, energy float64) *Result {
 	measured := uint64(0)
 	if s.cycle > s.spec.Budget.WarmupCycles {
@@ -534,12 +518,12 @@ func (s *System) finish(st cpu.Stats, energy float64) *Result {
 		Energy:       energy,
 		IMin:         s.iMin,
 		IMax:         s.iMax,
-		MinV:         s.minV,
-		MaxV:         s.maxV,
+		MinV:         math.Inf(1),
+		MaxV:         math.Inf(-1),
 		VNominal:     s.Net.Params().VNominal,
 		Emergencies:  s.emerg,
 		Hist:         s.hist,
-		Thresholds:   s.thresholds,
+		Thresholds:   s.rails[0].th,
 		LowEvents:    s.policy.LowEvents,
 		HighEvents:   s.policy.HighEvents,
 		CurrentTrace: s.curTr,
@@ -549,6 +533,10 @@ func (s *System) finish(st cpu.Stats, energy float64) *Result {
 		r.EmergencyFreq = float64(s.emerg) / float64(measured)
 	}
 	r.Rails = s.railResults()
+	for _, rr := range r.Rails {
+		r.MinV = min(r.MinV, rr.MinV)
+		r.MaxV = max(r.MaxV, rr.MaxV)
+	}
 	if s.dvs != nil {
 		r.DVSStepDowns, r.DVSStepUps = s.dvs.StepDowns, s.dvs.StepUps
 	}
@@ -572,12 +560,6 @@ func (s *System) publishMetrics(r *Result) {
 	reg.Counter("cpu.instructions_total").Add(int64(r.Stats.Instructions))
 	reg.Counter("cpu.mispredicts_total").Add(int64(r.Stats.Mispredicts))
 	reg.Counter("cpu.gated_cycles_total").Add(int64(r.Stats.GatedCycles))
-	if s.Sensor != nil {
-		samples, low, high := s.Sensor.Trips()
-		reg.Counter("sensor.samples_total").Add(int64(samples))
-		reg.Counter("sensor.low_trips_total").Add(int64(low))
-		reg.Counter("sensor.high_trips_total").Add(int64(high))
-	}
 	for i := range s.rails {
 		if sen := s.rails[i].sensor; sen != nil {
 			samples, low, high := sen.Trips()

@@ -122,16 +122,27 @@ func TestEnvelopeMeasurement(t *testing.T) {
 	}
 }
 
+// TestEnvelopeOverride: the spec's envelope override calibrates the
+// whole-chip rail, whether that rail is implicit or a one-rail rails
+// section.
 func TestEnvelopeOverride(t *testing.T) {
-	sys, err := NewSystem(alternator(50), knobs{
-		MaxCycles: 1000, EnvelopeIMin: 12, EnvelopeIMax: 48,
-	}.options())
-	if err != nil {
-		t.Fatal(err)
-	}
-	iMin, iMax := sys.Envelope()
-	if iMin != 12 || iMax != 48 {
-		t.Errorf("override ignored: [%g, %g]", iMin, iMax)
+	for _, rails := range [][]spec.RailSpec{nil, {{Name: "vdd"}}} {
+		o := knobs{MaxCycles: 1000, EnvelopeIMin: 12, EnvelopeIMax: 48}.options()
+		o.Spec.PDN.Rails = rails
+		sys, err := NewSystem(alternator(50), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iMin, iMax := sys.Envelope()
+		if iMin != 12 || iMax != 48 {
+			t.Errorf("rails %v: override ignored: [%g, %g]", rails, iMin, iMax)
+		}
+		r := sys.Rails()[0]
+		if r.IMin != 12 || r.IMax != 48 || r.Net.Params().IFloor != 30 {
+			t.Errorf("rails %v: rail %q calibrated on [%g, %g], floor %g; want [12, 48], floor 30",
+				rails, r.Name, r.IMin, r.IMax, r.Net.Params().IFloor)
+		}
+		sys.Close()
 	}
 }
 

@@ -10,10 +10,9 @@ import (
 	"didt/internal/telemetry"
 )
 
-// envelope is a measured current envelope in amperes. The per-scope
-// breakdown (same probe, same window, same percentile) feeds multi-rail
-// calibration; whole-chip iMin/iMax are computed exactly as they always
-// were, so single-rail systems see bit-identical envelopes.
+// envelope is a measured current envelope in amperes: the whole chip's,
+// plus the per-scope breakdown (same probe, same window, same percentile)
+// that partial rails are calibrated against.
 type envelope struct {
 	iMin, iMax float64
 	scopeMin   [power.NumScopes]float64
@@ -61,19 +60,9 @@ func ResetEnvelopeCache() { envelopeCache.Reset() }
 // maximum would be unreachable — the 8-wide issue stage cannot light every
 // unit at once — and calibrating the target impedance against an
 // unreachable envelope would make every real workload look artificially
-// tame (and every threshold artificially loose).
-func measureEnvelope(cfg cpu.Config, pp power.Params) (iMin, iMax float64, err error) {
-	env, err := measureEnvelopeScoped(cfg, pp)
-	if err != nil {
-		return 0, 0, err
-	}
-	return env.iMin, env.iMax, nil
-}
-
-// measureEnvelopeScoped returns the full measurement including the
-// per-delivery-scope envelopes multi-rail calibration splits the chip
-// across. Same memo as measureEnvelope — one probe serves both.
-func measureEnvelopeScoped(cfg cpu.Config, pp power.Params) (envelope, error) {
+// tame (and every threshold artificially loose). The same probe yields the
+// per-delivery-scope envelopes partial rails are calibrated against.
+func measureEnvelope(cfg cpu.Config, pp power.Params) (envelope, error) {
 	key := envelopeKey{cpu: sim.Fingerprint(cfg), power: sim.Fingerprint(pp)}
 	return envelopeCache.Get(key, func() (envelope, error) {
 		return measureEnvelopeUncached(cfg, pp)
@@ -115,9 +104,8 @@ func measureEnvelopeUncached(cfg cpu.Config, pp power.Params) (envelope, error) 
 			break
 		}
 	}
-	// The whole-chip envelope is computed exactly as before the scoped
-	// breakdown existed (same samples, same sort, same percentile) — the
-	// memoized value single-rail calibration consumes is bit-identical.
+	// The whole-chip maximum is the p98 of the summed current, not a sum
+	// of per-scope p98s.
 	sort.Float64s(samples)
 	env := envelope{iMin: pm.MinCurrent(), iMax: samples[len(samples)*98/100]}
 	for sc := range scopeSamples {

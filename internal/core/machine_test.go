@@ -10,9 +10,9 @@ import (
 	"didt/internal/workload"
 )
 
-// controlledSystem builds a controlled run of a named workload and
-// resolves its spec the way the CLIs and the server do.
-func controlledSystem(tb testing.TB, name, mechanism string, impedance float64, delay int, cycles uint64) *System {
+// controlledSystem builds a controlled run of a named workload, applies
+// any spec edits, and resolves its spec the way the CLIs and the server do.
+func controlledSystem(tb testing.TB, name, mechanism string, impedance float64, delay int, cycles uint64, edits ...func(*spec.RunSpec)) *System {
 	tb.Helper()
 	var sp spec.RunSpec
 	sp.Workload.Name = name
@@ -22,6 +22,9 @@ func controlledSystem(tb testing.TB, name, mechanism string, impedance float64, 
 	sp.Sensor.DelayCycles = delay
 	sp.Budget.MaxCycles = cycles
 	sp.Budget.WarmupCycles = cycles / 5
+	for _, edit := range edits {
+		edit(&sp)
+	}
 	r, err := sp.Resolve()
 	if err != nil {
 		tb.Fatal(err)
@@ -42,9 +45,10 @@ func controlledSystem(tb testing.TB, name, mechanism string, impedance float64, 
 // actuation, 200% impedance) stepped far enough that every slice in the
 // core has reached its working size. It stalls on memory, so its cycles
 // include the core's quiet-cycle replay and the power model's memo hits.
-func warmMachine(tb testing.TB) *System {
+// Spec edits (a rails section, say) apply before resolution.
+func warmMachine(tb testing.TB, edits ...func(*spec.RunSpec)) *System {
 	tb.Helper()
-	sys := controlledSystem(tb, "facerec", actuator.FUDL1.Name, 2, 2, 1<<62)
+	sys := controlledSystem(tb, "facerec", actuator.FUDL1.Name, 2, 2, 1<<62, edits...)
 	for i := 0; i < 50_000; i++ {
 		sys.StepCycle()
 	}
@@ -56,18 +60,27 @@ func warmMachine(tb testing.TB) *System {
 
 // TestMachineZeroAlloc pins the machine half of the closed loop, and the
 // whole controlled cycle around it, at zero allocations per cycle once
-// warm. The ci.sh allocation gate runs the matching benchmarks.
+// warm — on the implicit whole-chip rail and on the coupled three-rail
+// topology. The ci.sh allocation gate runs the matching benchmarks.
 func TestMachineZeroAlloc(t *testing.T) {
-	sys := warmMachine(t)
-	var act cpu.Activity
-	if a := testing.AllocsPerRun(2000, func() { sys.CPU.StepInto(&act) }); a != 0 {
-		t.Errorf("cpu.StepInto: %v allocs per cycle, want 0", a)
-	}
-	if a := testing.AllocsPerRun(2000, func() { sys.Power.Step(&act, sys.phantom) }); a != 0 {
-		t.Errorf("power.Step: %v allocs per cycle, want 0", a)
-	}
-	if a := testing.AllocsPerRun(2000, func() { sys.StepCycle() }); a != 0 {
-		t.Errorf("System.StepCycle: %v allocs per cycle, want 0", a)
+	for _, tc := range []struct {
+		name  string
+		edits []func(*spec.RunSpec)
+	}{
+		{name: "one rail"},
+		{name: "three rails", edits: []func(*spec.RunSpec){railsTopology}},
+	} {
+		sys := warmMachine(t, tc.edits...)
+		var act cpu.Activity
+		if a := testing.AllocsPerRun(2000, func() { sys.CPU.StepInto(&act) }); a != 0 {
+			t.Errorf("%s: cpu.StepInto: %v allocs per cycle, want 0", tc.name, a)
+		}
+		if a := testing.AllocsPerRun(2000, func() { sys.Power.Step(&act, sys.phantom) }); a != 0 {
+			t.Errorf("%s: power.Step: %v allocs per cycle, want 0", tc.name, a)
+		}
+		if a := testing.AllocsPerRun(2000, func() { sys.StepCycle() }); a != 0 {
+			t.Errorf("%s: System.StepCycle: %v allocs per cycle, want 0", tc.name, a)
+		}
 	}
 }
 

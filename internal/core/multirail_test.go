@@ -82,11 +82,11 @@ func relErr(a, b float64) float64 {
 	return math.Abs(a-b) / math.Abs(b)
 }
 
-// TestOneRailGraphMatchesLegacySystem pins the refactor's seam at the
-// system level: a spec whose rails section holds a single whole-chip rail
-// calibrates identically to the legacy single-rail path (same envelope,
-// same kernel) and its run differs only by the float-association of the
-// per-scope current split (sub-nanovolt).
+// TestOneRailGraphMatchesLegacySystem pins the seam between a spec's rails
+// section and its absence: a rails section holding a single whole-chip
+// rail calibrates identically to the implicit rail (same envelope, same
+// kernel) and runs bit-identically, because a rail owning every scope
+// draws the chip's current as the power model summed it.
 func TestOneRailGraphMatchesLegacySystem(t *testing.T) {
 	k := knobs{ImpedancePct: 2, MaxCycles: 80000, WarmupCycles: 10000}
 	legacy, err := NewSystem(alternator(300), k.options())
@@ -123,9 +123,8 @@ func TestOneRailGraphMatchesLegacySystem(t *testing.T) {
 	if lr.Cycles != mr.Cycles || lr.Stats != mr.Stats {
 		t.Errorf("machine evolution differs: %d/%d cycles", lr.Cycles, mr.Cycles)
 	}
-	const tol = 1e-9
-	if math.Abs(lr.MinV-mr.MinV) > tol || math.Abs(lr.MaxV-mr.MaxV) > tol {
-		t.Errorf("voltage stats differ: legacy [%.12f, %.12f] vs one-rail [%.12f, %.12f]",
+	if lr.MinV != mr.MinV || lr.MaxV != mr.MaxV {
+		t.Errorf("voltage stats differ: legacy [%.17g, %.17g] vs one-rail [%.17g, %.17g]",
 			lr.MinV, lr.MaxV, mr.MinV, mr.MaxV)
 	}
 	if lr.Emergencies != mr.Emergencies {
@@ -308,8 +307,9 @@ func TestSingleRailDVSInertWithoutControl(t *testing.T) {
 	}
 }
 
-// TestSingleRailDVSEngagesWithControl: on the legacy path the schedule
-// advances through Respond and shows up in the result counters.
+// TestSingleRailDVSEngagesWithControl: on a spec without a rails section
+// the schedule follows the chip's sensed level and shows up in the result
+// counters.
 func TestSingleRailDVSEngagesWithControl(t *testing.T) {
 	o := knobs{
 		ImpedancePct: 3, MaxCycles: 200000, WarmupCycles: 10000,

@@ -9,11 +9,21 @@ func graphCurrent(i int) float64 {
 	return 10 + 50*math.Abs(math.Sin(float64(i)/7))
 }
 
+// oneRail wraps n as the 1-node graph.
+func oneRail(t *testing.T, n *Network) *Graph {
+	t.Helper()
+	g, err := NewGraph([]Rail{{Name: "chip", Net: n}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestSingleRailGraphBitIdenticalStep: the 1-node graph's streaming path
 // must produce the exact bits of a bare Simulator.
 func TestSingleRailGraphBitIdenticalStep(t *testing.T) {
 	n := mustCalibrated(t, 2)
-	g := SingleRail(n)
+	g := oneRail(t, n)
 	gs := g.NewSimulator()
 	ref := n.NewSimulator()
 	cur := make([]float64, 1)
@@ -34,7 +44,7 @@ func TestSingleRailGraphBitIdenticalStep(t *testing.T) {
 // and longer than the kernel.
 func TestSingleRailGraphBitIdenticalConvolve(t *testing.T) {
 	n := mustCalibrated(t, 2)
-	g := SingleRail(n)
+	g := oneRail(t, n)
 	for _, length := range []int{n.KernelLen() / 2, 4 * n.KernelLen()} {
 		cur := make([]float64, length)
 		for i := range cur {

@@ -62,9 +62,6 @@ type DVSSpec struct {
 	Rail string `json:"rail,omitempty"`
 }
 
-// MultiRail reports whether the spec selects the rail-graph path.
-func (p PDNSpec) MultiRail() bool { return len(p.Rails) > 0 }
-
 // RailNames returns the rail names in spec order.
 func (p PDNSpec) RailNames() []string {
 	names := make([]string, len(p.Rails))
@@ -274,6 +271,11 @@ func (s RunSpec) validateRails() []error {
 	}
 	if len(s.PDN.Rails) == 1 && len(s.PDN.Coupling) > 0 {
 		errs = append(errs, errors.New("spec: coupling requires at least two rails"))
+	}
+	if len(s.PDN.Rails) > 1 && (s.PDN.EnvelopeIMin != 0 || s.PDN.EnvelopeIMax != 0) {
+		// Each of several rails is calibrated against its own scopes'
+		// measured envelope; a whole-chip override has no rail to apply to.
+		errs = append(errs, errors.New("spec: pdn envelope_i_min_a/envelope_i_max_a override the whole-chip envelope and need at most one rail"))
 	}
 	return errs
 }

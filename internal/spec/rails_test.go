@@ -52,8 +52,8 @@ func TestLegacySpecKeyUnchangedByRails(t *testing.T) {
 
 func TestRailDefaultsInheritSharedPDN(t *testing.T) {
 	s := threeRailSpec().WithDefaults()
-	if !s.PDN.MultiRail() {
-		t.Fatal("rails spec not multi-rail")
+	if len(s.PDN.Rails) != 3 {
+		t.Fatalf("rails spec resolved to %d rails", len(s.PDN.Rails))
 	}
 	for _, r := range s.PDN.Rails {
 		if r.Params != s.PDN.Params {
@@ -229,6 +229,9 @@ func TestRailsValidation(t *testing.T) {
 			s.PDN.Rails[0].Scopes = nil
 			s.PDN.Coupling = []CouplingSpec{{From: "core", To: "core", K: 0.1}}
 		}, "coupling requires at least two rails"},
+		{"envelope override on several rails", func(s *RunSpec) {
+			s.PDN.EnvelopeIMax = 48
+		}, "envelope_i_min_a/envelope_i_max_a"},
 	}
 	for _, tc := range cases {
 		s := threeRailSpec()
@@ -245,9 +248,16 @@ func TestRailsValidation(t *testing.T) {
 			t.Errorf("%s: error %q missing %q", tc.name, err, tc.want)
 		}
 	}
-	// And the baseline multi-rail spec itself is valid.
+	// And the baseline multi-rail spec itself is valid, as is a one-rail
+	// spec with an envelope override (its rail is the whole chip).
 	if _, err := threeRailSpec().Resolve(); err != nil {
 		t.Errorf("baseline rails spec invalid: %v", err)
+	}
+	one := threeRailSpec()
+	one.PDN.Rails, one.PDN.Coupling = one.PDN.Rails[:1], nil
+	one.PDN.EnvelopeIMin, one.PDN.EnvelopeIMax = 12, 48
+	if _, err := one.Resolve(); err != nil {
+		t.Errorf("one-rail spec with an envelope override invalid: %v", err)
 	}
 }
 
